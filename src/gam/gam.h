@@ -39,6 +39,10 @@ struct GamConfig {
   std::vector<double> lambda_grid = {1e-3, 1e-2, 1e-1, 1.0,
                                      1e1,  1e2,  1e3};
   int max_pirls_iters = 30;
+  /// Logit PIRLS stops once the penalized deviance
+  /// D(β) + βᵀ(Σ λ_t S_t + ridge)β changes by at most
+  /// pirls_tol · (|penalized deviance| + 0.1) between iterations — a
+  /// relative test on the objective (as mgcv), not on β.
   double pirls_tol = 1e-8;
 
   /// Extension beyond the paper (which fixes λ_1 = … = λ_{p+q}):
@@ -149,6 +153,9 @@ class Gam {
     double gcv = 0.0;
     double edof = 0.0;
     double rss = 0.0;
+    /// Linear predictor at `beta` (logit link only); warm-starts the
+    /// PIRLS of the next candidate.
+    Vector eta;
     bool ok = false;
   };
 
@@ -158,9 +165,12 @@ class Gam {
   FitCandidate FitIdentity(FitWorkspace* ws, const Matrix& gram,
                            const Vector& rhs, const Vector& y,
                            const std::vector<double>& lambdas) const;
+  /// PIRLS from `start_eta`, or from the clamped labels when it is
+  /// empty.
   FitCandidate FitLogit(FitWorkspace* ws, const Vector& y,
                         const std::vector<double>& lambdas,
-                        const GamConfig& config) const;
+                        const GamConfig& config,
+                        const Vector& start_eta) const;
 
   /// Recomputes min_row_width_ from terms_. Every site that assembles
   /// fitted state (Fit, GamFromString, FitGamByBackfitting) calls this

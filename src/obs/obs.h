@@ -34,7 +34,9 @@
 // identity-link Gam::Fit must record exactly one across its entire GCV
 // grid and per-term coordinate descent — the hoisting regression test
 // (tests/gam_fastpath_test.cc) fails if a code change reintroduces a
-// per-candidate rebuild.
+// per-candidate rebuild. For logit fits `gam.pirls_iters` (equal to the
+// Gram builds) and `gam.pirls_capped` (candidates that hit the PIRLS
+// iteration cap) pin the iteration count the same way.
 //
 // Flush() must be called from outside any parallel region: it drains the
 // per-thread buffers of the (then parked) pool workers. The fork-join

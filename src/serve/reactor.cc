@@ -113,6 +113,7 @@ class Reactor::Shard : public RequestSink {
             obs::metrics::GetCounter("serve.connections.accepted")),
         global_shed_(obs::metrics::GetCounter("serve.shed")),
         global_timeouts_(obs::metrics::GetCounter("serve.timeouts")),
+        accept_errors_(obs::metrics::GetCounter("serve.accept_errors")),
         wake_latency_(
             obs::metrics::GetHistogram("serve.reactor.wake_s")),
         predict_requests_(
@@ -466,6 +467,10 @@ class Reactor::Shard : public RequestSink {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR || errno == ECONNABORTED) continue;
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+          PauseAccept();
+        }
         break;  // EAGAIN: accepted everything pending
       }
       const int one = 1;
@@ -486,6 +491,28 @@ class Reactor::Shard : public RequestSink {
       global_accepted_.Add();
       active_.Set(static_cast<double>(conns_.size()));
     }
+  }
+
+  /// Out of descriptors or socket memory: the pending connection stays
+  /// queued, so the level-triggered listener would report it on every
+  /// epoll_wait and the loop would spin on failing accepts. Stop polling
+  /// the listener until a connection closes or the next wheel tick —
+  /// at most one failed accept per close or tick.
+  void PauseAccept() {
+    accept_errors_.Add();
+    epoll_event ev{};  // no events: registered but never reported
+    ev.data.u64 = kListenId;
+    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+    accept_paused_ = true;
+  }
+
+  void ResumeAccept() {
+    if (!accept_paused_ || draining_) return;
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenId;
+    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+    accept_paused_ = false;
   }
 
   void HandleConnEvent(uint64_t id, uint32_t mask,
@@ -565,6 +592,7 @@ class Reactor::Shard : public RequestSink {
             .count();
     const uint64_t now_tick = static_cast<uint64_t>(elapsed_ms) /
                               static_cast<uint64_t>(tick_.count());
+    if (wheel_tick_ < now_tick) ResumeAccept();
     while (wheel_tick_ < now_tick) {
       ++wheel_tick_;
       expired_scratch_.swap(wheel_[wheel_tick_ % wheel_.size()]);
@@ -594,6 +622,7 @@ class Reactor::Shard : public RequestSink {
     // miss the id lookup and are ignored.
     conns_.erase(it);
     active_.Set(static_cast<double>(conns_.size()));
+    ResumeAccept();  // a descriptor just came free
   }
 
   void EnterDrain() {
@@ -633,6 +662,7 @@ class Reactor::Shard : public RequestSink {
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   uint64_t next_conn_id_ = kFirstConnId;
   bool draining_ = false;
+  bool accept_paused_ = false;  // listener silenced by PauseAccept
   std::chrono::milliseconds tick_{100};
   std::chrono::steady_clock::time_point wheel_start_;
   std::vector<std::vector<uint64_t>> wheel_;
@@ -654,6 +684,7 @@ class Reactor::Shard : public RequestSink {
   obs::metrics::Counter& global_accepted_;
   obs::metrics::Counter& global_shed_;
   obs::metrics::Counter& global_timeouts_;
+  obs::metrics::Counter& accept_errors_;
   obs::metrics::Histogram& wake_latency_;
   obs::metrics::Counter& predict_requests_;
   obs::metrics::Histogram& predict_latency_;

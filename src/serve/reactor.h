@@ -24,6 +24,12 @@
 // requests keep a bounded p99 and excess demand degrades to cheap,
 // explicit rejections instead of collapsing every request's latency.
 //
+// Descriptor exhaustion: when accept fails with EMFILE/ENFILE (or
+// ENOBUFS/ENOMEM) the shard stops polling its listener, counts the
+// failure in `serve.accept_errors`, and re-arms it when a connection
+// closes or on the next wheel tick. Pending clients wait in the kernel
+// backlog instead of the loop spinning on a level-triggered listener.
+//
 // Ownership/locking model (proved by -Wthread-safety, PR 7):
 //  * Connections are single-owner: only the shard thread touches a Conn
 //    (serve/conn.h), so connections carry no locks at all.

@@ -4,6 +4,9 @@
 // bit-identical at every thread count, and an identity-link Fit must
 // build its Gram exactly once across the whole GCV grid and per-term
 // coordinate descent (the hoisting contract — `gam.gram_builds`).
+// Logit fits must stop PIRLS on the objective (`gam.pirls_iters`,
+// `gam.pirls_capped`), and their warm start across λ candidates must
+// reproduce cold starts and never leak from one Fit into the next.
 
 #include <cmath>
 #include <memory>
@@ -56,6 +59,26 @@ GamConfig FastpathConfig() {
   GamConfig config;  // identity link
   config.lambda_grid = {1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4};
   config.per_term_lambda = true;
+  return config;
+}
+
+// MixedData's signal squashed to probabilities: soft labels in (0, 1),
+// the kind of target GEF fits a logit surrogate to (forest outputs).
+Dataset LogitData(size_t n, Rng* rng) {
+  Dataset signal = MixedData(n, rng);
+  Dataset d(signal.feature_names());
+  std::vector<double> row;
+  for (size_t i = 0; i < n; ++i) {
+    signal.GetRowInto(i, &row);
+    d.AppendRow(row,
+                1.0 / (1.0 + std::exp(-3.0 * (signal.targets()[i] - 1.0))));
+  }
+  return d;
+}
+
+GamConfig LogitConfig() {
+  GamConfig config = FastpathConfig();
+  config.link = LinkType::kLogit;
   return config;
 }
 
@@ -246,6 +269,114 @@ TEST(GamFastpathTest, FitBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.term_lambdas()[t], parallel.term_lambdas()[t]);
   }
   EXPECT_EQ(GamToString(serial), GamToString(parallel));
+}
+
+TEST(GamFastpathTest, LogitFitBitIdenticalAcrossThreadCounts) {
+  Rng rng(408);
+  Dataset data = LogitData(900, &rng);
+  GamConfig config = LogitConfig();
+
+  SetNumThreads(1);
+  Gam serial;
+  ASSERT_TRUE(serial.Fit(MixedTerms(), data, config));
+  SetNumThreads(4);
+  Gam parallel;
+  ASSERT_TRUE(parallel.Fit(MixedTerms(), data, config));
+  SetNumThreads(0);
+
+  EXPECT_EQ(GamToString(serial), GamToString(parallel));
+}
+
+TEST(GamFastpathTest, LogitWarmStartDoesNotLeakBetweenFits) {
+  Rng rng(409);
+  Dataset a = LogitData(800, &rng);
+  Dataset b = LogitData(800, &rng);
+  GamConfig config = LogitConfig();
+
+  // Warm state from the B fit must not reach the second A fit. Equal
+  // row counts, so a leaked η would be a valid start, not a size error.
+  Gam first;
+  ASSERT_TRUE(first.Fit(MixedTerms(), a, config));
+  Gam other;
+  ASSERT_TRUE(other.Fit(MixedTerms(), b, config));
+  Gam again;
+  ASSERT_TRUE(again.Fit(MixedTerms(), a, config));
+  EXPECT_EQ(GamToString(first), GamToString(again));
+}
+
+// MixedTerms without the univariate splines. A centered B-spline block
+// has a direction that neither the design nor the penalty sees (the
+// basis sums to one), so its share of the EDoF is set by rounding and
+// differs between any two weight vectors: with MixedTerms the warm and
+// cold GCV differ by up to 2.8e-3 relative. Every term here is fully
+// pinned (the factor by its ridge penalty, the tensor by its fixed
+// ridge), so the comparison measures the warm start alone.
+TermList IdentifiableTerms() {
+  TermList terms;
+  terms.push_back(std::make_unique<InterceptTerm>());
+  terms.push_back(
+      std::make_unique<FactorTerm>(2, std::vector<double>{0.0, 1.0, 2.0}));
+  terms.push_back(
+      std::make_unique<TensorTerm>(0, 0.0, 1.0, 1, 0.0, 1.0, 6));
+  return terms;
+}
+
+TEST(GamFastpathTest, LogitWarmStartMatchesColdStart) {
+  Rng rng(410);
+  Dataset data = LogitData(900, &rng);
+  // Descending toward the GCV optimum, so GCV falls along the grid and
+  // every prefix grid's winner is its last candidate. Candidate k of a
+  // prefix is candidate k of the full grid (same warm chain), which
+  // exposes each warm candidate as a fitted model. Measured gaps: GCV
+  // 5.9e-12 relative, Predict 4.1e-14.
+  const std::vector<double> grid = {1e4, 1e3, 1e2, 1e1, 1.0, 1e-1};
+  GamConfig warm_config;
+  warm_config.link = LinkType::kLogit;
+  std::vector<double> row;
+  for (size_t k = 0; k < grid.size(); ++k) {
+    warm_config.lambda_grid.assign(grid.begin(), grid.begin() + k + 1);
+    Gam warm;
+    ASSERT_TRUE(warm.Fit(IdentifiableTerms(), data, warm_config));
+    ASSERT_EQ(warm.lambda(), grid[k]) << "GCV must fall along the grid";
+
+    // A one-entry grid has no predecessor: a cold start by construction.
+    GamConfig cold_config = warm_config;
+    cold_config.lambda_grid = {grid[k]};
+    Gam cold;
+    ASSERT_TRUE(cold.Fit(IdentifiableTerms(), data, cold_config));
+
+    const double gcv_gap = std::fabs(warm.gcv_score() - cold.gcv_score()) /
+                           std::fabs(cold.gcv_score());
+    EXPECT_LE(gcv_gap, 1e-9) << "lambda " << grid[k];
+    for (size_t i = 0; i < data.num_rows(); ++i) {
+      data.GetRowInto(i, &row);
+      const double gap = std::fabs(warm.Predict(row) - cold.Predict(row));
+      EXPECT_LE(gap, 1e-9) << "lambda " << grid[k] << " row " << i;
+    }
+  }
+}
+
+TEST(GamFastpathTest, LogitPirlsStopsOnObjective) {
+  Rng rng(411);
+  Dataset data = LogitData(700, &rng);
+  GamConfig config = LogitConfig();  // 8-λ grid + coordinate descent
+
+  obs::Enable("");
+  obs::Flush();
+  Gam gam;
+  ASSERT_TRUE(gam.Fit(MixedTerms(), data, config));
+  obs::Aggregates aggregates = obs::Flush();
+  obs::Disable();
+
+  const double iters = aggregates.Counter("gam.pirls_iters");
+  // One weighted Gram per PIRLS iteration, nothing else builds one.
+  EXPECT_EQ(aggregates.Counter("gam.gram_builds"), iters);
+  // Every candidate meets the objective stop test before the cap.
+  EXPECT_EQ(aggregates.Counter("gam.pirls_capped"), 0.0);
+  // Measured 91 across the 8 grid candidates and the coordinate-descent
+  // trials; the old β-change test ran every candidate to the 30-iteration
+  // cap.
+  EXPECT_LE(iters, 91.0);
 }
 
 TEST(GamFastpathTest, IdentityFitBuildsGramExactlyOnce) {
