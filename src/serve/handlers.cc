@@ -18,14 +18,15 @@ namespace gef {
 namespace serve {
 namespace {
 
-/// Records request count + latency for one endpoint label.
+/// Records request count + latency for one endpoint. Each handler looks
+/// its two handles up once, in function-local statics, so a request
+/// never takes the registry lock.
 class ScopedEndpointMetrics {
  public:
-  explicit ScopedEndpointMetrics(const std::string& endpoint)
-      : latency_(obs::metrics::GetHistogram("serve.latency_s." +
-                                            endpoint)),
-        start_(std::chrono::steady_clock::now()) {
-    obs::metrics::GetCounter("serve.requests." + endpoint).Add();
+  ScopedEndpointMetrics(obs::metrics::Counter& requests,
+                        obs::metrics::Histogram& latency)
+      : latency_(latency), start_(std::chrono::steady_clock::now()) {
+    requests.Add();
   }
   ~ScopedEndpointMetrics() {
     const std::chrono::duration<double> elapsed =
@@ -42,7 +43,9 @@ class ScopedEndpointMetrics {
 };
 
 HttpResponse CountedError(int status, const std::string& message) {
-  obs::metrics::GetCounter("serve.errors").Add();
+  static obs::metrics::Counter& errors =
+      obs::metrics::GetCounter("serve.errors");
+  errors.Add();
   return MakeErrorResponse(status, message);
 }
 
@@ -97,7 +100,11 @@ Status ParseRow(const Json& value, size_t width,
 
 HttpResponse HandlePredict(const ServeContext& context,
                            const HttpRequest& request) {
-  ScopedEndpointMetrics metrics("predict");
+  static obs::metrics::Counter& requests =
+      obs::metrics::GetCounter("serve.requests.predict");
+  static obs::metrics::Histogram& latency =
+      obs::metrics::GetHistogram("serve.latency_s.predict");
+  ScopedEndpointMetrics metrics(requests, latency);
   GEF_OBS_SPAN("serve.predict");
 
   {
@@ -117,8 +124,7 @@ HttpResponse HandlePredict(const ServeContext& context,
         RequestBatcher::Result result =
             context.batcher->Predict(model, std::move(row));
         HttpResponse response;
-        response.body = model->predict_prefix + "\"prediction\":" +
-                        JsonNumberText(result.prediction) + "}";
+        response.body = PredictBody(*model, result.prediction);
         return response;
       }
     }
@@ -143,14 +149,14 @@ HttpResponse HandlePredict(const ServeContext& context,
         400, "request must carry exactly one of \"row\" or \"rows\"");
   }
 
-  std::string out = model->predict_prefix;
+  HttpResponse response;
   if (row_json != nullptr) {
     std::vector<double> row;
     Status parsed = ParseRow(*row_json, width, &row);
     if (!parsed.ok()) return CountedError(400, parsed.message());
     RequestBatcher::Result result =
         context.batcher->Predict(model, std::move(row));
-    out += "\"prediction\":" + JsonNumberText(result.prediction) + "}";
+    response.body = PredictBody(*model, result.prediction);
   } else {
     if (!rows_json->is_array()) {
       return CountedError(400, "\"rows\" must be an array of rows");
@@ -165,40 +171,51 @@ HttpResponse HandlePredict(const ServeContext& context,
       if (!parsed.ok()) return CountedError(400, parsed.message());
       predictions.push_back(model->forest.Predict(row.data()));
     }
-    out += "\"predictions\":" + JsonNumberArray(predictions) + "}";
+    std::string& out = response.body;
+    out.reserve(model->predict_prefix.size() + 16 +
+                25 * predictions.size());
+    out += model->predict_prefix;
+    out += "\"predictions\":";
+    AppendJsonNumberArray(&out, predictions);
+    out += '}';
   }
-
-  HttpResponse response;
-  response.body = std::move(out);
   return response;
 }
 
-std::string RenderLocalExplanation(const LocalExplanation& local) {
-  std::string out = "{\"gam_prediction\":";
-  out += JsonNumberText(local.gam_prediction);
-  out += ",\"forest_prediction\":";
-  out += JsonNumberText(local.forest_prediction);
-  out += ",\"intercept\":";
-  out += JsonNumberText(local.intercept);
-  out += ",\"terms\":[";
+/// Appends the explanation's members (no enclosing braces):
+/// `"gam_prediction":…,"forest_prediction":…,"intercept":…,"terms":[…]`.
+void AppendLocalExplanation(const LocalExplanation& local,
+                            std::string* out) {
+  out->append("\"gam_prediction\":");
+  AppendJsonNumber(out, local.gam_prediction);
+  out->append(",\"forest_prediction\":");
+  AppendJsonNumber(out, local.forest_prediction);
+  out->append(",\"intercept\":");
+  AppendJsonNumber(out, local.intercept);
+  out->append(",\"terms\":[");
   for (size_t i = 0; i < local.terms.size(); ++i) {
     const LocalTermContribution& term = local.terms[i];
-    if (i > 0) out += ",";
-    out += "{\"label\":\"" + JsonEscapeString(term.label) + "\"";
-    out += ",\"features\":[";
+    if (i > 0) out->push_back(',');
+    out->append("{\"label\":\"");
+    out->append(JsonEscapeString(term.label));
+    out->append("\",\"features\":[");
     for (size_t j = 0; j < term.features.size(); ++j) {
-      if (j > 0) out += ",";
-      out += std::to_string(term.features[j]);
+      if (j > 0) out->push_back(',');
+      out->append(std::to_string(term.features[j]));
     }
-    out += "],\"contribution\":" + JsonNumberText(term.contribution);
-    out += ",\"lower\":" + JsonNumberText(term.lower);
-    out += ",\"upper\":" + JsonNumberText(term.upper);
-    out += ",\"delta_minus\":" + JsonNumberText(term.delta_minus);
-    out += ",\"delta_plus\":" + JsonNumberText(term.delta_plus);
-    out += "}";
+    out->append("],\"contribution\":");
+    AppendJsonNumber(out, term.contribution);
+    out->append(",\"lower\":");
+    AppendJsonNumber(out, term.lower);
+    out->append(",\"upper\":");
+    AppendJsonNumber(out, term.upper);
+    out->append(",\"delta_minus\":");
+    AppendJsonNumber(out, term.delta_minus);
+    out->append(",\"delta_plus\":");
+    AppendJsonNumber(out, term.delta_plus);
+    out->push_back('}');
   }
-  out += "]";
-  return out;
+  out->push_back(']');
 }
 
 /// Applies the optional "config" overrides onto the server defaults.
@@ -292,7 +309,11 @@ Status ApplyConfigOverrides(const Json& body, GefConfig* config,
 
 HttpResponse HandleExplain(const ServeContext& context,
                            const HttpRequest& request) {
-  ScopedEndpointMetrics metrics("explain");
+  static obs::metrics::Counter& requests =
+      obs::metrics::GetCounter("serve.requests.explain");
+  static obs::metrics::Histogram& latency =
+      obs::metrics::GetHistogram("serve.latency_s.explain");
+  ScopedEndpointMetrics metrics(requests, latency);
   GEF_OBS_SPAN("serve.explain");
 
   StatusOr<Json> body = ParseJson(request.body);
@@ -351,17 +372,27 @@ HttpResponse HandleExplain(const ServeContext& context,
   }
 
   HttpResponse response;
-  response.body = "{\"model\":\"" + JsonEscapeString(model->name) +
-                  "\",\"hash\":\"" + HashToHex(model->hash) +
-                  "\",\"backend\":\"" +
-                  JsonEscapeString(surrogate->surrogate->backend_name()) +
-                  "\"," +
-                  RenderLocalExplanation(*result.local).substr(1) + "}";
+  std::string& out = response.body;
+  // ~200 bytes per term covers a default explanation in one allocation.
+  out.reserve(256 + 200 * result.local->terms.size());
+  out.append("{\"model\":\"");
+  out.append(JsonEscapeString(model->name));
+  out.append("\",\"hash\":\"");
+  out.append(HashToHex(model->hash));
+  out.append("\",\"backend\":\"");
+  out.append(JsonEscapeString(surrogate->surrogate->backend_name()));
+  out.append("\",");
+  AppendLocalExplanation(*result.local, &out);
+  out.push_back('}');
   return response;
 }
 
 HttpResponse HandleModels(const ServeContext& context) {
-  ScopedEndpointMetrics metrics("models");
+  static obs::metrics::Counter& requests =
+      obs::metrics::GetCounter("serve.requests.models");
+  static obs::metrics::Histogram& latency =
+      obs::metrics::GetHistogram("serve.latency_s.models");
+  ScopedEndpointMetrics metrics(requests, latency);
   std::string out = "{\"models\":[";
   bool first = true;
   for (const auto& model : context.registry->List()) {
@@ -387,14 +418,22 @@ HttpResponse HandleModels(const ServeContext& context) {
 }
 
 HttpResponse HandleHealthz() {
-  ScopedEndpointMetrics metrics("healthz");
+  static obs::metrics::Counter& requests =
+      obs::metrics::GetCounter("serve.requests.healthz");
+  static obs::metrics::Histogram& latency =
+      obs::metrics::GetHistogram("serve.latency_s.healthz");
+  ScopedEndpointMetrics metrics(requests, latency);
   HttpResponse response;
   response.body = "{\"status\":\"ok\"}";
   return response;
 }
 
 HttpResponse HandleMetrics() {
-  ScopedEndpointMetrics metrics("metrics");
+  static obs::metrics::Counter& requests =
+      obs::metrics::GetCounter("serve.requests.metrics");
+  static obs::metrics::Histogram& latency =
+      obs::metrics::GetHistogram("serve.latency_s.metrics");
+  ScopedEndpointMetrics metrics(requests, latency);
   HttpResponse response;
   response.content_type = "text/plain; charset=utf-8";
   response.body = obs::metrics::RenderText();
@@ -402,6 +441,17 @@ HttpResponse HandleMetrics() {
 }
 
 }  // namespace
+
+std::string PredictBody(const ServedModel& model, double prediction) {
+  std::string out;
+  // 24 bytes hold any %.17g number, plus the member name and '}'.
+  out.reserve(model.predict_prefix.size() + 40);
+  out += model.predict_prefix;
+  out += "\"prediction\":";
+  AppendJsonNumber(&out, prediction);
+  out += '}';
+  return out;
+}
 
 // Declared in handlers.h (shared with the reactor's burst-batched
 // inline predicts). Numbers go through std::from_chars, which rejects

@@ -61,6 +61,12 @@ bool ScanPredictBody(const std::string& body, bool* have_model,
                      std::string_view* model_name,
                      std::vector<double>* row);
 
+/// The response body of a single-row predict: the model's cached
+/// `{"model":…,"hash":…,` prefix, then `"prediction":<value>}`. Shared
+/// by the predict handler and the reactor's burst path so the two
+/// render identical bytes.
+std::string PredictBody(const ServedModel& model, double prediction);
+
 }  // namespace serve
 }  // namespace gef
 

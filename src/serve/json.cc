@@ -1,9 +1,11 @@
 #include "serve/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace gef {
 namespace serve {
@@ -155,8 +157,17 @@ class Parser {
     }
     if (!digits) return Error("bad number");
     out->type = Json::Type::kNumber;
-    out->number =
-        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    // The span is a valid JSON number, so from_chars parses all of it
+    // without a copy. It reports out-of-range where strtod saturates
+    // (1e400 -> inf) or flushes (1e-400 -> 0); strtod stays the
+    // reference for those, so both paths yield the same bits.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [stop, ec] = std::from_chars(first, last, out->number);
+    if (ec != std::errc() || stop != last) {
+      out->number =
+          std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    }
     if (!std::isfinite(out->number)) return Error("number overflow");
     return Status::Ok();
   }
@@ -289,28 +300,55 @@ std::string JsonEscapeString(const std::string& text) {
   return out;
 }
 
-std::string JsonNumberText(double value) {
-  if (!std::isfinite(value)) return "null";
+void AppendJsonNumber(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
+  }
+  // %.17g is at most 24 bytes; one more for strtod's terminator.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Shorten when a lower precision round-trips exactly.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-    if (std::strtod(shorter, nullptr) == value) {
-      return std::string(shorter);
+  // The shortest round-trip form fixes the digit count n: no %.pg with
+  // p < n can round-trip, so the search below starts at n instead of 1.
+  const std::to_chars_result shortest = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::scientific);
+  int precision = 0;
+  for (const char* p = buf; p != shortest.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++precision;
+  }
+  // to_chars with a precision prints what %.pg prints. Rounding to n
+  // digits can fall outside a lopsided round-trip interval (powers of
+  // two), so raise p until strtod reads the value back, up to 17.
+  for (;; ++precision) {
+    const std::to_chars_result printed =
+        std::to_chars(buf, buf + sizeof(buf) - 1, value,
+                      std::chars_format::general, precision);
+    *printed.ptr = '\0';
+    if (precision >= 17 || std::strtod(buf, nullptr) == value) {
+      out->append(buf, printed.ptr);
+      return;
     }
   }
-  return std::string(buf);
+}
+
+std::string JsonNumberText(double value) {
+  std::string out;
+  AppendJsonNumber(&out, value);
+  return out;
+}
+
+void AppendJsonNumberArray(std::string* out,
+                           const std::vector<double>& values) {
+  out->push_back('[');
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    AppendJsonNumber(out, values[i]);
+  }
+  out->push_back(']');
 }
 
 std::string JsonNumberArray(const std::vector<double>& values) {
-  std::string out = "[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ",";
-    out += JsonNumberText(values[i]);
-  }
-  out += "]";
+  std::string out;
+  AppendJsonNumberArray(&out, values);
   return out;
 }
 

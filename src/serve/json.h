@@ -43,11 +43,20 @@ StatusOr<Json> ParseJson(const std::string& text, int max_depth = 64);
 /// backslashes, control characters).
 std::string JsonEscapeString(const std::string& text);
 
-/// Shortest round-trip rendering of a double; NaN/Inf (not expressible
-/// in JSON) render as null.
+/// Appends the `%.pg` rendering of a double with the smallest p in
+/// 1..16 that round-trips through strtod, else `%.17g` (so 100 prints
+/// as `1e+02` and 0.0001 as `0.0001`); NaN/Inf (not expressible in
+/// JSON) render as null. Response bytes are pinned to this definition
+/// (DESIGN.md §3.14); computing it costs two to_chars calls and one
+/// strtod check for nearly every value.
+void AppendJsonNumber(std::string* out, double value);
+
+/// AppendJsonNumber into a fresh string.
 std::string JsonNumberText(double value);
 
-/// Renders `[v0, v1, ...]`.
+/// Appends / renders `[v0,v1,...]`.
+void AppendJsonNumberArray(std::string* out,
+                           const std::vector<double>& values);
 std::string JsonNumberArray(const std::vector<double>& values);
 
 }  // namespace serve

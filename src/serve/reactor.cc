@@ -20,7 +20,6 @@
 #include "forest/forest.h"
 #include "obs/metrics.h"
 #include "serve/conn.h"
-#include "serve/json.h"
 #include "util/shutdown.h"
 
 namespace gef {
@@ -369,8 +368,7 @@ class Reactor::Shard : public RequestSink {
       Conn* conn = it->second.get();
       conn->Cork();
       HttpResponse response;
-      response.body = item.model->predict_prefix + "\"prediction\":" +
-                      JsonNumberText(predictions_[i]) + "}";
+      response.body = PredictBody(*item.model, predictions_[i]);
       response.close = item.close;
       conn->Complete(item.seq, SerializeHttpResponse(response),
                      response.close);

@@ -16,11 +16,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -300,6 +304,125 @@ TEST(JsonTest, NumberAndEscapeRendering) {
   EXPECT_EQ(serve::JsonNumberText(std::nan("")), "null");
   EXPECT_EQ(serve::JsonEscapeString("a\"b\\\n"), "a\\\"b\\\\\\n");
   EXPECT_EQ(serve::JsonNumberArray({1.0, 2.5}), "[1,2.5]");
+}
+
+// The number format the serving responses were pinned to before the
+// formatter moved to std::to_chars: the shortest %.pg, p = 1..16, that
+// round-trips through strtod, else %.17g. Kept here as the oracle that
+// AppendJsonNumber must match byte for byte.
+std::string OracleJsonNumberText(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+    if (std::strtod(shorter, nullptr) == value) {
+      return std::string(shorter);
+    }
+  }
+  return std::string(buf);
+}
+
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Seeded doubles covering the formatter's corner cases: Gaussian
+/// values at several scales, random bit patterns (denormals, huge
+/// exponents, NaN payloads), every power of two, a 3-decimal grid and
+/// the constants where %g switches notation or runs out of range.
+std::vector<double> NumberCorpus() {
+  std::vector<double> corpus;
+  Rng rng(20260);
+  for (int i = 0; i < 40000; ++i) {
+    corpus.push_back(rng.Normal() * std::pow(10.0, (i % 13) - 6));
+  }
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t bits = rng.Next();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    corpus.push_back(value);
+  }
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    corpus.push_back(std::ldexp(1.0, exponent));
+  }
+  for (int i = -10000; i <= 10000; ++i) corpus.push_back(i / 1000.0);
+  const double edges[] = {0.0,    -0.0,   DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                          DBL_MIN, DBL_MAX, -DBL_MAX,    1e-4,
+                          1e-5,   1e16,   1e17,         9.9999e-5,
+                          1.5e16, 123456789012345678.0,  0.1,
+                          1.0 / 3.0, 100.0, 2.5,          -1e-7};
+  corpus.insert(corpus.end(), std::begin(edges), std::end(edges));
+  corpus.push_back(std::nan(""));
+  corpus.push_back(std::numeric_limits<double>::infinity());
+  corpus.push_back(-std::numeric_limits<double>::infinity());
+  return corpus;
+}
+
+TEST(JsonTest, NumberTextMatchesPrintfOracleByteForByte) {
+  EXPECT_EQ(serve::JsonNumberText(1e-4), "0.0001");
+  EXPECT_EQ(serve::JsonNumberText(1e-5), "1e-05");
+  EXPECT_EQ(serve::JsonNumberText(1e16), "1e+16");
+  EXPECT_EQ(serve::JsonNumberText(100.0), "1e+02");
+  EXPECT_EQ(serve::JsonNumberText(-0.0), "-0");
+  EXPECT_EQ(serve::JsonNumberText(DBL_TRUE_MIN), "5e-324");
+  EXPECT_EQ(serve::JsonNumberText(-std::numeric_limits<double>::infinity()),
+            "null");
+  size_t mismatches = 0;
+  std::string appended;
+  for (const double value : NumberCorpus()) {
+    const std::string expected = OracleJsonNumberText(value);
+    if (serve::JsonNumberText(value) != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits " << DoubleBits(value) << ": got "
+                    << serve::JsonNumberText(value) << ", oracle "
+                    << expected;
+    }
+    // Appending must leave what is already in the buffer alone.
+    appended.assign("x");
+    serve::AppendJsonNumber(&appended, value);
+    if (appended != "x" + expected) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonTest, ParsedNumbersMatchStrtodBitForBit) {
+  size_t checked = 0;
+  for (const double value : NumberCorpus()) {
+    if (!std::isfinite(value)) continue;
+    char longest[32];
+    std::snprintf(longest, sizeof(longest), "%.17g", value);
+    for (const std::string& text :
+         {serve::JsonNumberText(value), std::string(longest)}) {
+      auto parsed = ParseJson(text);
+      ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+      ASSERT_TRUE(parsed->is_number()) << text;
+      ASSERT_EQ(DoubleBits(parsed->number),
+                DoubleBits(std::strtod(text.c_str(), nullptr)))
+          << text;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 200000u);
+  // Out of range for from_chars: strtod's answer stands, so underflow
+  // still parses (as 0 here) and overflow is still an error.
+  for (const char* text : {"1e-400", "-1e-400", "2.4e-324", "-0", "0e999"}) {
+    auto parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_EQ(DoubleBits(parsed->number),
+              DoubleBits(std::strtod(text, nullptr)))
+        << text;
+  }
+  EXPECT_EQ(DoubleBits(ParseJson("-0")->number), DoubleBits(-0.0));
+  for (const char* text : {"1e400", "-1e400", "[1, 2e308]"}) {
+    auto parsed = ParseJson(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("number overflow"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(JsonTest, FuzzedInputsNeverCrash) {
@@ -1721,6 +1844,80 @@ TEST_F(HandlersTest, PredictFastScanMatchesGenericParserByteForByte) {
   auto named = Call("POST", "/v1/predict", with_model);
   ASSERT_EQ(named.status, 200) << named.body;
   EXPECT_EQ(named.body, fast.body);
+}
+
+// The served bodies must not change with the number formatter: render
+// one explain and both predict shapes the way the handlers did with
+// the printf-based formatter and compare byte for byte.
+TEST_F(HandlersTest, ResponseBodiesMatchPrintfRenderingByteForByte) {
+  Forest forest = TrainSmallForest();
+  std::shared_ptr<const GefExplanation> preloaded(
+      ExplainForest(forest, TinyGefConfig()).release());
+  ASSERT_NE(preloaded, nullptr);
+  ASSERT_TRUE(registry_
+                  .AddModel("prefit", std::move(forest), "", preloaded)
+                  .ok());
+  auto model = registry_.Get("prefit");
+  Rng rng(17);
+  std::vector<double> row(num_features_);
+  for (double& v : row) v = rng.Uniform() * 5.0;
+  const std::string row_json = serve::JsonNumberArray(row);
+  const std::string prefix = "{\"model\":\"prefit\",\"hash\":\"" +
+                             HashToHex(model->hash) + "\",";
+
+  auto explain = Call("POST", "/v1/explain",
+                      "{\"model\":\"prefit\",\"row\":" + row_json + "}");
+  ASSERT_EQ(explain.status, 200) << explain.body;
+  const LocalExplanation local =
+      ExplainInstance(*preloaded, model->forest, row, 0.05);
+  std::string expected = prefix + "\"backend\":\"" +
+                         preloaded->surrogate->backend_name() + "\"" +
+                         ",\"gam_prediction\":" +
+                         OracleJsonNumberText(local.gam_prediction) +
+                         ",\"forest_prediction\":" +
+                         OracleJsonNumberText(local.forest_prediction) +
+                         ",\"intercept\":" +
+                         OracleJsonNumberText(local.intercept) +
+                         ",\"terms\":[";
+  ASSERT_FALSE(local.terms.empty());
+  for (size_t i = 0; i < local.terms.size(); ++i) {
+    const LocalTermContribution& term = local.terms[i];
+    if (i > 0) expected += ",";
+    expected += "{\"label\":\"" + serve::JsonEscapeString(term.label) +
+                "\",\"features\":[";
+    for (size_t j = 0; j < term.features.size(); ++j) {
+      if (j > 0) expected += ",";
+      expected += std::to_string(term.features[j]);
+    }
+    expected += "],\"contribution\":" +
+                OracleJsonNumberText(term.contribution) +
+                ",\"lower\":" + OracleJsonNumberText(term.lower) +
+                ",\"upper\":" + OracleJsonNumberText(term.upper) +
+                ",\"delta_minus\":" +
+                OracleJsonNumberText(term.delta_minus) +
+                ",\"delta_plus\":" + OracleJsonNumberText(term.delta_plus) +
+                "}";
+  }
+  expected += "]}";
+  EXPECT_EQ(explain.body, expected);
+
+  const double prediction = model->forest.Predict(row);
+  // Fast scan and generic parse (the extra member) share the renderer.
+  for (const std::string& body :
+       {"{\"model\":\"prefit\",\"row\":" + row_json + "}",
+        "{\"model\":\"prefit\",\"row\":" + row_json + ",\"x\":1}"}) {
+    auto predict = Call("POST", "/v1/predict", body);
+    ASSERT_EQ(predict.status, 200) << predict.body;
+    EXPECT_EQ(predict.body, prefix + "\"prediction\":" +
+                                OracleJsonNumberText(prediction) + "}");
+  }
+  auto batch = Call("POST", "/v1/predict",
+                    "{\"model\":\"prefit\",\"rows\":[" + row_json + "," +
+                        row_json + "]}");
+  ASSERT_EQ(batch.status, 200) << batch.body;
+  EXPECT_EQ(batch.body, prefix + "\"predictions\":[" +
+                            OracleJsonNumberText(prediction) + "," +
+                            OracleJsonNumberText(prediction) + "]}");
 }
 
 TEST_F(HandlersTest, PredictFastScanRejectsOddBodiesViaGenericPath) {
